@@ -44,7 +44,9 @@ namespace sched {
 
 struct ParallelSearchOptions {
   std::int64_t processors = 2;
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
+  /// Worker threads; 0 = std::thread::hardware_concurrency() (at least
+  /// 1). The resolved count is then capped at the number of cache-miss
+  /// candidates (at least 1): a fully cached search reports 1 worker.
   int workers = 0;
   /// Strategy names to try; empty = every strategy in the registry.
   /// Unknown names throw UnknownStrategyError before any work starts.
@@ -96,6 +98,9 @@ struct ParallelSearchResult {
   std::size_t warm_starts = 0;     ///< cached feasible schedules fed as starts
   std::size_t warm_candidates = 0; ///< warm-start candidates evaluated
   bool warm_start_won = false;     ///< overlay strictly beat the plan winner
+  /// Threads the evaluation wave ran on: options `workers` resolved (0
+  /// means hardware_concurrency(), at least 1), capped at `evaluated` (at
+  /// least 1). sharded_search reports its shard count here instead.
   int workers_used = 1;
   // Aggregated evaluation accounting over every candidate run this search
   // (cache hits contribute nothing — they ran no simulation). Informational

@@ -11,11 +11,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -85,6 +87,16 @@ std::string first_lines(const std::string& text, std::size_t n) {
   return text.substr(0, pos == std::string::npos ? text.size() : pos);
 }
 
+/// The worker phrase a default (`--jobs 0`) search prints, per the
+/// sched::ParallelSearchOptions::workers contract: 0 resolves to
+/// hardware_concurrency() (at least 1), capped at the number of evaluated
+/// (cache-miss) candidates (at least 1).
+std::string auto_workers_phrase(unsigned evaluated) {
+  const unsigned hw = std::max(1U, std::thread::hardware_concurrency());
+  return "on " + std::to_string(std::min(hw, std::max(evaluated, 1U))) +
+         " worker(s)";
+}
+
 TEST(ToolCli, CheckReportsTheSchedulableSubclass) {
   const CmdResult r = run_tool("check " + kFig1);
   EXPECT_EQ(r.exit_code, 0);
@@ -108,8 +120,8 @@ TEST(ToolCli, ScheduleIsFeasibleOnTwoProcessors) {
   EXPECT_EQ(first_lines(r.out, 2),
             "list schedule, SP heuristic alap-edf on 2 processor(s): FEASIBLE, "
             "makespan 150 ms\n"
-            "(searched 6 candidate(s), 6 evaluated + 0 cached, on 1 worker(s); "
-            "winner: alap-edf, seed 1)\n");
+            "(searched 6 candidate(s), 6 evaluated + 0 cached, " +
+                auto_workers_phrase(6) + "; winner: alap-edf, seed 1)\n");
   // Kernel instrumentation rides along whenever the counters are nonzero.
   EXPECT_NE(r.out.find("\nevaluations: "), std::string::npos) << r.out;
 }
@@ -140,6 +152,7 @@ TEST(ToolCli, ColdThenWarmCacheRunAnswersFromTheCache) {
   EXPECT_EQ(first_lines(warm.out, 1), "cache '" + cache +
                                           "': 6 hit(s), 0 miss(es), 0 "
                                           "store(s), 0 eviction(s)\n");
+  // No candidate is pending, so the worker cap gives 1 on any host.
   EXPECT_NE(warm.out.find("(searched 6 candidate(s), 0 evaluated + 6 cached, "
                           "on 1 worker(s); winner: alap-edf, seed 1)"),
             std::string::npos)
@@ -168,8 +181,8 @@ TEST(ToolCli, OptimizePresetSearchesTheFullStrategyPortfolio) {
   const CmdResult r = run_tool("schedule " + kFig1 + " --optimize --cache-dir '" +
                                dir.path() + "/cache'");
   EXPECT_EQ(r.exit_code, 0);
-  EXPECT_NE(r.out.find("(searched 10 candidate(s), 10 evaluated + 0 cached, "
-                       "on 1 worker(s); winner: "),
+  EXPECT_NE(r.out.find("(searched 10 candidate(s), 10 evaluated + 0 cached, " +
+                       auto_workers_phrase(10) + "; winner: "),
             std::string::npos)
       << r.out;
 }
