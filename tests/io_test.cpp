@@ -96,6 +96,13 @@ struct BadCase {
   std::size_t error_line;
 };
 
+// Without this, gtest prints a BadCase as its raw bytes, i.e. the two string
+// addresses, which differ from run to run under ASLR; ctest bakes that text
+// into the discovered test names, so they would change with every build.
+void PrintTo(const BadCase& bad, std::ostream* os) {
+  *os << "error on line " << bad.error_line;
+}
+
 class TextFormatErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(TextFormatErrors, ReportsLineNumber) {
